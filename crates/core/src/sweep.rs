@@ -404,23 +404,21 @@ impl Sweep {
         let slots: Vec<Mutex<Option<Result<PointResult>>>> =
             self.points.iter().map(|_| Mutex::new(None)).collect();
         let cancel = options.cancel.as_ref();
-        if jobs <= 1 {
-            for (point, slot) in self.points.iter().zip(&slots) {
-                *slot.lock().expect("sweep slot poisoned") = Some(point.execute(&cache, cancel));
+        let next = AtomicUsize::new(0);
+        let worker = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(point) = self.points.get(i) else { break };
+            let result = point.execute(&cache, cancel);
+            *slots[i].lock().expect("sweep slot poisoned") = Some(result);
+        };
+        // The calling thread is one of the `jobs` workers (the only one when
+        // `jobs == 1`), so a sweep spawns `jobs - 1` threads.
+        std::thread::scope(|scope| {
+            for _ in 1..jobs {
+                scope.spawn(worker);
             }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(point) = self.points.get(i) else { break };
-                        let result = point.execute(&cache, cancel);
-                        *slots[i].lock().expect("sweep slot poisoned") = Some(result);
-                    });
-                }
-            });
-        }
+            worker();
+        });
 
         let mut results = Vec::with_capacity(self.points.len());
         for slot in slots {

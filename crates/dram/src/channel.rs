@@ -5,6 +5,7 @@ use ptsim_common::config::{DramConfig, MemSchedulerPolicy};
 use ptsim_common::{Cycle, RequestId};
 use ptsim_obs::CounterHub;
 use ptsim_trace::Tracer;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One transaction-granularity memory request.
@@ -56,10 +57,13 @@ struct Bank {
     write_recovery_until: u64,
 }
 
-#[derive(Debug, Clone)]
+/// A queued request with its bank and row decoded once, at admission.
+#[derive(Debug, Clone, Copy)]
 struct Queued {
     req: MemRequest,
     arrival: u64,
+    bank: usize,
+    row: u64,
 }
 
 /// Derived timing, in core cycles.
@@ -74,9 +78,13 @@ struct Timing {
 }
 
 /// One DRAM channel.
+///
+/// The queue holds requests in arrival order, and arrivals are
+/// nondecreasing (see [`Channel::try_enqueue`]), so the requests that have
+/// arrived by the scheduling frontier are always a prefix of the queue.
 #[derive(Debug, Clone)]
 pub(crate) struct Channel {
-    queue: Vec<Queued>,
+    queue: VecDeque<Queued>,
     banks: Vec<Bank>,
     timing: Timing,
     policy: MemSchedulerPolicy,
@@ -102,7 +110,7 @@ impl Channel {
     pub(crate) fn new(cfg: &DramConfig, freq_mhz: f64) -> Self {
         let t = |ns: f64| cfg.timing_cycles(ns, freq_mhz);
         Channel {
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             banks: vec![Bank::default(); cfg.banks_per_channel],
             timing: Timing {
                 t_cl: t(cfg.t_cl_ns),
@@ -149,11 +157,22 @@ impl Channel {
         (bank, row)
     }
 
+    /// Admits `req` arriving at `now`, or returns `false` when the queue is
+    /// full. `now` must not precede the arrival of any queued request.
     pub(crate) fn try_enqueue(&mut self, req: MemRequest, now: Cycle) -> bool {
         if self.queue.len() >= self.queue_depth {
             return false;
         }
-        self.queue.push(Queued { req, arrival: now.raw() });
+        let arrival = now.raw();
+        if let Some(last) = self.queue.back() {
+            debug_assert!(
+                last.arrival <= arrival,
+                "DRAM arrivals must be nondecreasing per channel: {arrival} after {}",
+                last.arrival
+            );
+        }
+        let (bank, row) = self.bank_and_row(req.addr);
+        self.queue.push_back(Queued { req, arrival, bank, row });
         true
     }
 
@@ -176,11 +195,8 @@ impl Channel {
         if let Some(&std::cmp::Reverse((finish, _))) = self.inflight.peek() {
             return Some(Cycle::new(finish));
         }
-        if self.queue.is_empty() {
-            return None;
-        }
-        let arrival = self.queue.iter().map(|q| q.arrival).min().expect("non-empty");
-        Some(Cycle::new(arrival.max(self.time) + 1))
+        let head = self.queue.front()?;
+        Some(Cycle::new(head.arrival.max(self.time) + 1))
     }
 
     /// Schedules requests with service starting no later than `to` and
@@ -200,39 +216,33 @@ impl Channel {
     /// Picks and timestamps requests whose service can start by `horizon`.
     fn schedule(&mut self, horizon: u64) {
         loop {
-            if self.queue.is_empty() {
+            let Some(head) = self.queue.front() else {
                 self.time = self.time.max(horizon);
                 return;
-            }
-            // Only consider requests that have arrived by the frontier.
-            let arrived: Vec<usize> =
-                (0..self.queue.len()).filter(|&i| self.queue[i].arrival <= self.time).collect();
-            if arrived.is_empty() {
+            };
+            // Only requests that have arrived by the frontier are eligible;
+            // they are a prefix of the arrival-ordered queue.
+            if head.arrival > self.time {
                 // Jump the frontier to the next arrival if within range.
-                let next_arrival = self.queue.iter().map(|q| q.arrival).min().expect("non-empty");
-                if next_arrival > horizon {
+                if head.arrival > horizon {
                     self.time = horizon;
                     return;
                 }
-                self.time = next_arrival;
+                self.time = head.arrival;
                 continue;
             }
             let pick = match self.policy {
-                MemSchedulerPolicy::FrFcfs => {
-                    // Oldest row-hit first, else oldest.
-                    arrived
-                        .iter()
-                        .copied()
-                        .find(|&i| {
-                            let (bank, row) = self.bank_and_row(self.queue[i].req.addr);
-                            self.banks[bank].open_row == Some(row)
-                        })
-                        .unwrap_or(arrived[0])
-                }
-                MemSchedulerPolicy::Fcfs => arrived[0],
+                // Oldest arrived row hit first, else the oldest request.
+                MemSchedulerPolicy::FrFcfs => self
+                    .queue
+                    .iter()
+                    .take_while(|q| q.arrival <= self.time)
+                    .position(|q| self.banks[q.bank].open_row == Some(q.row))
+                    .unwrap_or(0),
+                MemSchedulerPolicy::Fcfs => 0,
             };
-            let q = self.queue[pick].clone();
-            let (bank_idx, row) = self.bank_and_row(q.req.addr);
+            let q = self.queue[pick];
+            let (bank_idx, row) = (q.bank, q.row);
             let bank = self.banks[bank_idx];
             let start = self.time.max(bank.busy_until);
             if start > horizon {

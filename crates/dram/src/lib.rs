@@ -89,6 +89,12 @@ impl DramSim {
     /// Attempts to enqueue a transaction; returns `false` if the target
     /// channel's queue is full (the caller must retry later — this is the
     /// backpressure that throttles DMA engines).
+    ///
+    /// Precondition: per channel, `now` is nondecreasing across admissions
+    /// (it never precedes the arrival of a request still queued there). Each
+    /// channel keeps its queue in arrival order and treats the requests
+    /// arrived by its scheduling frontier as a prefix of it. Debug builds
+    /// assert the precondition.
     pub fn try_enqueue(&mut self, req: MemRequest, now: Cycle) -> bool {
         let ch = self.channel_of(req.addr);
         self.channels[ch].try_enqueue(req, now)
@@ -273,6 +279,57 @@ mod tests {
         let done = dram.pop_completed();
         let t = |id: u64| done.iter().find(|(r, _)| r.raw() == id).unwrap().1;
         assert!(t(1) <= t(2), "fcfs must serve older first");
+    }
+
+    #[test]
+    fn frfcfs_never_picks_a_hit_that_has_not_arrived() {
+        let mut c = cfg();
+        c.channels = 1;
+        c.scheduler = MemSchedulerPolicy::FrFcfs;
+        let mut dram = DramSim::new(&c, 940.0);
+        let row_stride =
+            c.transaction_bytes * (c.row_bytes / c.transaction_bytes) * c.banks_per_channel as u64;
+        // A opens row 0. B (another row of the same bank) has arrived when
+        // the frontier reaches 100; C would hit row 0 but arrives at 200.
+        dram.try_enqueue(MemRequest::read(RequestId::new(0), 0, 64, 0), Cycle::ZERO);
+        dram.advance(Cycle::new(100));
+        dram.try_enqueue(MemRequest::read(RequestId::new(1), row_stride, 64, 0), Cycle::new(100));
+        dram.try_enqueue(MemRequest::read(RequestId::new(2), 64, 64, 0), Cycle::new(200));
+        dram.advance(Cycle::new(10_000));
+        // B is served first and closes row 0, so C conflicts rather than hits.
+        let done = dram.pop_completed();
+        let t = |id: u64| done.iter().find(|(r, _)| r.raw() == id).unwrap().1;
+        assert!(t(1) < t(2), "arrived miss {} must beat future hit {}", t(1), t(2));
+        let s = dram.stats();
+        assert_eq!((s.row_hits, s.row_misses, s.row_conflicts), (0, 1, 2));
+    }
+
+    #[test]
+    fn next_event_of_queued_requests_is_head_arrival_or_frontier_plus_one() {
+        let mut c = cfg();
+        c.channels = 1;
+        let mut dram = DramSim::new(&c, 940.0);
+        // Head ahead of the frontier (0): its arrival bounds the event.
+        dram.try_enqueue(MemRequest::read(RequestId::new(0), 0, 64, 0), Cycle::new(900));
+        dram.try_enqueue(MemRequest::read(RequestId::new(1), 64, 64, 0), Cycle::new(950));
+        assert_eq!(dram.next_event(), Some(Cycle::new(901)));
+        // Frontier ahead of the head's arrival: the frontier bounds it.
+        let mut dram = DramSim::new(&c, 940.0);
+        dram.advance(Cycle::new(500));
+        dram.try_enqueue(MemRequest::read(RequestId::new(0), 0, 64, 0), Cycle::new(400));
+        dram.try_enqueue(MemRequest::read(RequestId::new(1), 64, 64, 0), Cycle::new(450));
+        assert_eq!(dram.next_event(), Some(Cycle::new(501)));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "nondecreasing")]
+    fn decreasing_arrival_trips_the_precondition() {
+        let mut c = cfg();
+        c.channels = 1;
+        let mut dram = DramSim::new(&c, 940.0);
+        dram.try_enqueue(MemRequest::read(RequestId::new(0), 0, 64, 0), Cycle::new(100));
+        dram.try_enqueue(MemRequest::read(RequestId::new(1), 64, 64, 0), Cycle::new(50));
     }
 
     #[test]

@@ -118,7 +118,9 @@ impl ShardedDram {
     }
 
     /// Routes a request to its channel's home group; same admission rule
-    /// (and `false`-on-full backpressure) as [`DramSim::try_enqueue`].
+    /// (and `false`-on-full backpressure) as [`DramSim::try_enqueue`], and
+    /// the same precondition: per channel, `now` is nondecreasing across
+    /// admissions.
     pub fn try_enqueue(&mut self, req: crate::MemRequest, now: Cycle) -> bool {
         let (g, local) = self.locate[self.channel_of(req.addr)];
         self.pool.shard_mut(g as usize).channels[local as usize].try_enqueue(req, now)

@@ -342,7 +342,9 @@ pub struct TogSim {
     jobs: Vec<Job>,
     dma_slab: Vec<DmaJob>,
     tx_refs: HashMap<RequestId, TxRef, BuildHasherDefault<TxHasher>>,
-    retry_dram: Vec<(RequestId, MemRequest)>,
+    /// Writes the DRAM refused, parked in arrival order, one FIFO per
+    /// channel.
+    retry_dram: Vec<VecDeque<MemRequest>>,
     retry_noc: Vec<(RequestId, NocMessage)>,
     ids: RequestIdGen,
     queue: EventQueue<Event>,
@@ -406,7 +408,7 @@ impl TogSim {
             jobs: Vec::new(),
             dma_slab: Vec::new(),
             tx_refs: HashMap::default(),
-            retry_dram: Vec::new(),
+            retry_dram: vec![VecDeque::new(); cfg.dram.channels],
             retry_noc: Vec::new(),
             ids: RequestIdGen::new(),
             queue: EventQueue::new(),
@@ -792,7 +794,7 @@ impl TogSim {
             cores,
             jobs,
             self.tx_refs.len(),
-            self.retry_dram.len(),
+            self.retry_dram.iter().map(VecDeque::len).sum::<usize>(),
             self.retry_noc.len()
         ))
     }
@@ -1134,14 +1136,22 @@ impl TogSim {
         progress
     }
 
+    /// Re-offers parked writes and NoC messages to the memory system.
+    ///
+    /// Each channel's parked writes are drained from the front up to the
+    /// first refusal. Nothing advances a channel within an issue pass, so
+    /// its queue only grows and once it refuses a write it refuses every
+    /// later one too: stopping there makes exactly the admissions that
+    /// re-offering every parked write would, in the same per-channel order.
     fn retry_backpressured(&mut self) -> bool {
         let mut progress = false;
-        let pending = std::mem::take(&mut self.retry_dram);
-        for (rid, req) in pending {
-            if self.mem_enqueue(req, self.now) {
+        for ch in 0..self.retry_dram.len() {
+            while let Some(&req) = self.retry_dram[ch].front() {
+                if !self.mem_enqueue(req, self.now) {
+                    break;
+                }
+                self.retry_dram[ch].pop_front();
                 progress = true;
-            } else {
-                self.retry_dram.push((rid, req));
             }
         }
         let pending = std::mem::take(&mut self.retry_noc);
@@ -1207,7 +1217,7 @@ impl TogSim {
                         MemRequest::write(rid, txref.addr, self.cfg.dram.transaction_bytes, d.tag);
                     self.tx_refs.insert(rid, TxRef { phase: TxPhase::WriteDram, ..txref });
                     if !self.mem_enqueue(req, at) {
-                        self.retry_dram.push((rid, req));
+                        self.retry_dram[self.dram.channel_of(req.addr)].push_back(req);
                     }
                 }
                 _ => {}
@@ -1500,6 +1510,69 @@ mod tests {
         // 4 loads + 4 stores of 4 KiB.
         assert_eq!(r.dram_bytes_for_tag(9), 8 * 4096);
         assert!(r.jobs[0].mean_bandwidth() > 0.0);
+    }
+
+    /// Independent 8 KiB stores, then strided stores that hit channel 0
+    /// only, then a few loads, on `channels = 2, queue_depth = 2`: the
+    /// writes outrun both DRAM queues, park behind both channels, and back
+    /// up channel 0 further than channel 1.
+    fn write_backlog_sim() -> TogSim {
+        let mut c = cfg();
+        c.dram.channels = 2;
+        c.dram.queue_depth = 2;
+        let mut b = TogBuilder::new("writes");
+        let i = b.begin_loop(32);
+        b.node(TogOpKind::store(AddrExpr::new(0x10_0000).with_term(i, 8192), 8192), &[]);
+        b.end_loop();
+        // 64-byte rows at a 128-byte stride: every transaction maps to
+        // channel 0 (channels interleave per 64-byte transaction).
+        let k = b.begin_loop(16);
+        let strided = TogOpKind::StoreDma {
+            mm: AddrExpr::new(0x40_0000).with_term(k, 8192),
+            sp: AddrExpr::new(0),
+            rows: 64,
+            cols: 16,
+            mm_stride: 128,
+            sp_stride: 64,
+        };
+        b.node(strided, &[]);
+        b.end_loop();
+        let j = b.begin_loop(8);
+        b.node(TogOpKind::load(AddrExpr::new(0x80_0000).with_term(j, 8192), 8192), &[]);
+        b.end_loop();
+        let mut sim = TogSim::new(&c);
+        sim.add_job(expand(b), JobSpec::default());
+        sim
+    }
+
+    #[test]
+    fn write_backlog_report_is_pinned() {
+        use ptsim_common::fingerprint::fnv1a;
+        use ptsim_common::json::ToJson;
+        for backend in [
+            ExecutionBackend::Serial,
+            ExecutionBackend::Reference,
+            ExecutionBackend::Parallel { workers: 2 },
+        ] {
+            let r = write_backlog_sim().run_with(backend).unwrap();
+            assert_eq!(r.total_cycles, 5926, "{backend:?}");
+            assert_eq!(r.dram.writes, (32 * 8192 + 16 * 64 * 64) / 64, "{backend:?}");
+            let fp = fnv1a(r.to_json_string().as_bytes());
+            assert_eq!(fp, 0x7b2b_4a6f_73af_b1ef, "{backend:?}: {fp:016x}");
+        }
+    }
+
+    #[test]
+    fn deadlock_diagnostic_counts_parked_writes_over_every_channel() {
+        // Cut while both channels hold parked writes, channel 0 more; the
+        // diagnostic must report them together.
+        let mut sim = write_backlog_sim();
+        sim.set_max_cycles(3500);
+        assert!(sim.run().is_err());
+        let parked: Vec<usize> = sim.retry_dram.iter().map(VecDeque::len).collect();
+        assert_eq!(parked, [174, 29]);
+        let msg = sim.deadlock_fault().to_string();
+        assert!(msg.contains("203 dram retries"), "{msg}");
     }
 }
 
